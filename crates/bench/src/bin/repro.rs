@@ -91,8 +91,9 @@ OPTIONS:
                    docs/SCALING.md). Composes with '--threads', which
                    parallelizes across cells rather than within a simulation
     --json PATH    write results as JSON to PATH (experiment rows, scenario reports,
-                   or the bench document — default BENCH_engine.json for `bench`;
-                   the bench document's per-PR history grows by one entry per run)
+                   or the bench document, whose history grows by one entry per
+                   run). `bench`, `bench --scale` and `mux` write only when given
+                   '--json'; without it they measure and print, touching no file
     --check PATH   `repro bench` only: compare this run against the baseline
                    document at PATH and exit non-zero on a >10% events/sec drop
                    or an RSS-ceiling breach (see docs/BENCHMARKING.md); on breach,
@@ -233,6 +234,13 @@ fn write_json(path: &str, doc: &Json) {
     eprintln!("[wrote {path}]");
 }
 
+/// Where a measuring run (`bench`, `bench --scale`, `mux`) writes its
+/// JSON document: only to an explicit `--json PATH`. Without one it
+/// measures and prints, and touches no file.
+fn document_path(opts: &Opts) -> Option<&str> {
+    opts.json.as_deref()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -343,6 +351,9 @@ fn bench_main(args: &[String]) {
         scale_main(mode, &opts);
         return;
     }
+    if opts.counters && document_path(&opts).is_none() {
+        fail("'--counters' extends the JSON document, which only '--json PATH' writes");
+    }
     let threads = opts.threads.unwrap_or(1);
     eprintln!(
         "# engine bench ({} scale, {} thread{})",
@@ -373,22 +384,8 @@ fn bench_main(args: &[String]) {
             speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
         );
     }
-    // A pure `--check` run measures and compares without touching any
-    // file; `--json PATH` (or the plain default) appends this run to
-    // the target document's history instead of discarding it.
-    let json_path = match (&opts.json, &opts.check) {
-        (Some(p), _) => Some(p.clone()),
-        (None, None) => Some("BENCH_engine.json".to_string()),
-        (None, Some(_)) => None,
-    };
-    if opts.counters && json_path.is_none() {
-        fail(
-            "'--counters' extends the JSON document, which a pure '--check' run \
-             never writes; add '--json PATH'",
-        );
-    }
-    if let Some(path) = json_path {
-        let prior = std::fs::read_to_string(&path).ok();
+    if let Some(path) = document_path(&opts) {
+        let prior = std::fs::read_to_string(path).ok();
         let entry =
             trajectory::history_entry(&trajectory::git_sha(), mode.label(), threads, &results);
         let history = trajectory::appended_history(prior.as_deref(), entry);
@@ -397,7 +394,7 @@ fn bench_main(args: &[String]) {
             eprintln!("# instrumented counter replay ({} scale)", mode.label());
             doc = doc.with("counters", engine_bench::counters_json(mode));
         }
-        write_json(&path, &doc);
+        write_json(path, &doc);
     }
     if let Some(baseline_path) = &opts.check {
         let text = match std::fs::read_to_string(baseline_path) {
@@ -485,15 +482,13 @@ fn scale_main(mode: BenchMode, opts: &Opts) {
                 .map_or("-".to_string(), |k| format!("{:.2}", k as f64 / r.n as f64)),
         );
     }
-    let path = opts
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let prior = std::fs::read_to_string(&path).ok();
-    let label = format!("scale-{}", mode.label());
-    let entry = trajectory::history_entry(&trajectory::git_sha(), &label, 1, &results);
-    let history = trajectory::appended_history(prior.as_deref(), entry);
-    write_json(&path, &engine_bench::to_json(mode, 1, &results, history));
+    if let Some(path) = document_path(opts) {
+        let prior = std::fs::read_to_string(path).ok();
+        let label = format!("scale-{}", mode.label());
+        let entry = trajectory::history_entry(&trajectory::git_sha(), &label, 1, &results);
+        let history = trajectory::appended_history(prior.as_deref(), entry);
+        write_json(path, &engine_bench::to_json(mode, 1, &results, history));
+    }
     // Greppable mid-rung line for CI logs: the 10⁵ rung's throughput
     // next to its RSS, one line, fixed keys.
     if let Some(r) = results.iter().find(|r| r.name == "scale_100k") {
@@ -582,11 +577,28 @@ fn mux_main(args: &[String]) {
         );
         std::process::exit(1);
     }
-    let path = opts
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let prior = std::fs::read_to_string(&path).ok();
+    if let Some(path) = document_path(&opts) {
+        write_json(path, &mux_document(path, mode, &r));
+    }
+    if r.speedup < mux::MIN_SPEEDUP {
+        eprintln!(
+            "MUX FAILURE: speedup {:.2}x below the {:.0}x floor",
+            r.speedup,
+            mux::MIN_SPEEDUP
+        );
+        std::process::exit(1);
+    }
+    eprintln!(
+        "[mux passed: {:.2}x over sequential at equal per-query answers, floor {:.0}x]",
+        r.speedup,
+        mux::MIN_SPEEDUP
+    );
+}
+
+/// The mux bench document for `path`: this run's `mux` block plus the
+/// prior document's history with one entry appended.
+fn mux_document(path: &str, mode: BenchMode, r: &mux::MuxBenchResult) -> Json {
+    let prior = std::fs::read_to_string(path).ok();
     let label = format!("mux-{}", mode.label());
     let entry = Json::obj()
         .with("sha", trajectory::git_sha())
@@ -607,23 +619,8 @@ fn mux_main(args: &[String]) {
             }
         }
     }
-    let doc = doc
-        .with("mux", r.to_json())
-        .with("history", Json::Arr(history));
-    write_json(&path, &doc);
-    if r.speedup < mux::MIN_SPEEDUP {
-        eprintln!(
-            "MUX FAILURE: speedup {:.2}x below the {:.0}x floor",
-            r.speedup,
-            mux::MIN_SPEEDUP
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "[mux passed: {:.2}x over sequential at equal per-query answers, floor {:.0}x]",
-        r.speedup,
-        mux::MIN_SPEEDUP
-    );
+    doc.with("mux", r.to_json())
+        .with("history", Json::Arr(history))
 }
 
 // --------------------------------------------------------------------- soak
@@ -1111,4 +1108,29 @@ fn run_experiment(name: &str, scale: Scale) -> Vec<Table> {
         println!("{t}");
     }
     tables
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(args: &[&str]) -> Opts {
+        parse_opts(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn measuring_runs_write_only_to_an_explicit_json_path() {
+        assert_eq!(document_path(&opts(&["--quick"])), None);
+        assert_eq!(document_path(&opts(&["--scale", "--quick"])), None);
+        assert_eq!(document_path(&opts(&["--check", "base.json"])), None);
+        assert_eq!(document_path(&opts(&["--counters"])), None);
+        assert_eq!(
+            document_path(&opts(&["--quick", "--json", "out.json"])),
+            Some("out.json")
+        );
+        assert_eq!(
+            document_path(&opts(&["--json", "out.json", "--check", "base.json"])),
+            Some("out.json")
+        );
+    }
 }

@@ -256,6 +256,52 @@ impl Partial {
         }
     }
 
+    /// Whether combining `other` into `self` would leave `self`
+    /// unchanged — `other ⊑ self` for the duplicate-insensitive
+    /// partials. Same answer as cloning, combining and comparing, but FM
+    /// sketches decide it register-wise without allocating; the other
+    /// variants take the clone, which only KMV and histogram partials
+    /// pay for with an allocation. Panics where [`Partial::combine`]
+    /// would.
+    pub fn covers(&self, other: &Partial) -> bool {
+        match (self, other) {
+            (Partial::SketchCount(a), Partial::SketchCount(b))
+            | (Partial::SketchSum(a), Partial::SketchSum(b)) => a.covers(b),
+            (
+                Partial::SketchAvg { sum: s1, count: c1 },
+                Partial::SketchAvg { sum: s2, count: c2 },
+            ) => s1.covers(s2) && c1.covers(c2),
+            _ => {
+                let mut joined = self.clone();
+                joined.combine(other);
+                joined == *self
+            }
+        }
+    }
+
+    /// Whether `self` is exactly the combine of `a` and `b` — the same
+    /// answer as cloning `a`, combining `b` into it and comparing, with
+    /// the same non-allocating FM cases as [`Partial::covers`]. Panics
+    /// where combining `b` into `a` would.
+    pub fn is_join_of(&self, a: &Partial, b: &Partial) -> bool {
+        match (self, a, b) {
+            (Partial::SketchCount(s), Partial::SketchCount(a), Partial::SketchCount(b))
+            | (Partial::SketchSum(s), Partial::SketchSum(a), Partial::SketchSum(b)) => {
+                s.is_join_of(a, b)
+            }
+            (
+                Partial::SketchAvg { sum, count },
+                Partial::SketchAvg { sum: s1, count: c1 },
+                Partial::SketchAvg { sum: s2, count: c2 },
+            ) => sum.is_join_of(s1, s2) && count.is_join_of(c1, c2),
+            _ => {
+                let mut joined = a.clone();
+                joined.combine(b);
+                joined == *self
+            }
+        }
+    }
+
     /// The scalar answer this partial represents at declaration time.
     pub fn value(&self) -> f64 {
         match self {
@@ -466,6 +512,89 @@ mod tests {
         // True average is 50; FM error on both sketches compounds, so be
         // generous but bounded.
         assert!((10.0..250.0).contains(&est), "avg estimate {est}");
+    }
+
+    /// Check `covers` and `is_join_of` against their clone–combine–
+    /// compare definitions on every pair and triple of `parts`.
+    fn assert_predicates_match_definitions(parts: &[Partial]) {
+        for s in parts {
+            for a in parts {
+                let mut joined = s.clone();
+                joined.combine(a);
+                assert_eq!(s.covers(a), joined == *s, "{s:?} covers {a:?}");
+                for b in parts {
+                    let mut joined = a.clone();
+                    joined.combine(b);
+                    assert_eq!(
+                        s.is_join_of(a, b),
+                        joined == *s,
+                        "{s:?} is the join of {a:?} and {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Two independently seeded partials of one operator and their join:
+    /// an incomparable pair plus a comparable one.
+    fn with_join(mut make: impl FnMut(&mut SmallRng) -> Partial) -> Vec<Partial> {
+        let mut r = rng();
+        let (a, b) = (make(&mut r), make(&mut r));
+        let mut ab = a.clone();
+        ab.combine(&b);
+        vec![a, b, ab]
+    }
+
+    #[test]
+    fn lattice_predicates_match_definitions_for_every_variant() {
+        assert_predicates_match_definitions(&[Partial::Min(3), Partial::Min(5), Partial::Min(9)]);
+        assert_predicates_match_definitions(&[Partial::Max(3), Partial::Max(5), Partial::Max(9)]);
+        for make in [Partial::ExactCount, Partial::ExactSum] {
+            assert_predicates_match_definitions(&[make(0), make(2), make(3), make(5)]);
+        }
+        assert_predicates_match_definitions(&[
+            Partial::ExactAvg { sum: 0, count: 0 },
+            Partial::ExactAvg { sum: 4, count: 1 },
+            Partial::ExactAvg { sum: 0, count: 1 },
+            Partial::ExactAvg { sum: 4, count: 2 },
+        ]);
+        for aggregate in [Aggregate::Count, Aggregate::Sum, Aggregate::Average] {
+            assert_predicates_match_definitions(&with_join(|r| {
+                Partial::init_sketched(aggregate, 30, 4, r)
+            }));
+        }
+        assert_predicates_match_definitions(&with_join(|r| {
+            Operator::KmvCount { k: 4 }.init(Aggregate::Count, 1, 4, r)
+        }));
+        let histogram = Operator::ValueHistogram {
+            min: 0,
+            max: 9,
+            buckets: 3,
+        };
+        let mut value = 0;
+        assert_predicates_match_definitions(&with_join(|r| {
+            value += 4;
+            histogram.init(Aggregate::Count, value, 4, r)
+        }));
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched partials")]
+    fn covers_rejects_mismatch() {
+        Partial::Min(1).covers(&Partial::Max(2));
+    }
+
+    #[test]
+    fn partial_does_not_grow() {
+        // SPANNINGTREE queues `Partial` by value in every event, so a
+        // larger enum (say, FM registers stored inline) multiplies the
+        // event queue's footprint at scale. Grow it only with a
+        // measurement of `repro bench --scale` in hand.
+        assert!(
+            std::mem::size_of::<Partial>() <= 56,
+            "Partial is {} bytes",
+            std::mem::size_of::<Partial>()
+        );
     }
 
     #[test]

@@ -216,9 +216,9 @@ pub struct RunPlan {
     /// When set, each simulation runs with sharded message delivery
     /// across this many worker threads
     /// ([`Simulation::enable_sharded_delivery`]): output is
-    /// byte-identical for any thread count. WILDFIRE is exempt (its
-    /// `Rc`-shared partials are not `Send`) and always runs
-    /// sequentially.
+    /// byte-identical for any thread count. WILDFIRE is exempt (sharding
+    /// gives each delivery its own RNG stream, which would change its
+    /// sketches) and always runs sequentially.
     pub shard_threads: Option<usize>,
 }
 
@@ -415,8 +415,12 @@ impl Outcome {
     }
 }
 
-/// Turn on sharded delivery when the plan asks for it. Callable only
-/// for `Send` protocols — the WILDFIRE arm deliberately omits the call.
+/// Turn on sharded delivery when the plan asks for it. The WILDFIRE arm
+/// does not call this although WILDFIRE is `Send`: its hosts draw their
+/// sketches from [`Ctx::rng`](pov_sim::Ctx::rng), and sharding gives
+/// each delivery its own RNG stream, so its reports would change.
+/// Whether sharded delivery stays at all is a separate, open
+/// measure-or-delete question.
 fn maybe_shard<L>(sim: &mut Simulation<'_, L>, plan: &RunPlan)
 where
     L: NodeLogic + Send,

@@ -32,7 +32,7 @@ use crate::common::{Operator, Partial, QuerySpec};
 use crate::observer::{summary_of, ProtocolObserver};
 use pov_sim::{Ctx, Medium, NodeLogic, StateSummary, Time};
 use pov_topology::HostId;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Timer key for the declaration deadline at `hq`.
 const TIMER_DECLARE: u64 = 0;
@@ -60,11 +60,13 @@ impl Default for WildfireOpts {
 
 /// WILDFIRE messages.
 ///
-/// Partials travel as `Rc<Partial>`: a fan-out to `d` neighbours is `d`
-/// reference bumps on one sketch allocation instead of `d` deep clones
-/// of the FM registers (the engine is single-threaded per simulation,
-/// so `Rc` is safe). Receivers copy-on-write via [`Rc::make_mut`] only
-/// when a combine actually has to mutate.
+/// Partials travel as `Arc<Partial>` snapshots. A sender copies its
+/// partial at most once per change and every message until the next
+/// change shares that copy, so a fan-out to `d` neighbours is `d`
+/// reference bumps. A receiver only reads the snapshot: it combines it
+/// into its own partial and may keep the pointer as knowledge of what
+/// the sender holds, so nothing is copied on receipt. `Arc` keeps the
+/// messages and the host state `Send`.
 #[derive(Clone, Debug)]
 pub enum WfMsg {
     /// Phase-I flood: query spec, hop count so far, and (optionally)
@@ -75,64 +77,164 @@ pub enum WfMsg {
         /// Hops travelled so far (sender's depth).
         hops: u32,
         /// Piggybacked partial aggregate of the sender.
-        partial: Option<Rc<Partial>>,
+        partial: Option<Arc<Partial>>,
     },
     /// Phase-II convergecast: the sender's current partial aggregate.
     Converge {
         /// Sender's partial aggregate `A_{h'}`.
-        partial: Rc<Partial>,
+        partial: Arc<Partial>,
     },
 }
 
+// Sharded delivery needs `Send` host state and messages; keep them so.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<WildfireNode>();
+    assert_send::<WfMsg>();
+};
+
 /// Active-phase state.
+///
+/// The host owns its partial `A_h` and combines incoming partials into
+/// it in place. `snapshot` is the shared copy that outgoing messages
+/// carry: built on the first send after a change, dropped on the next
+/// change.
 #[derive(Debug)]
 struct Active {
-    partial: Rc<Partial>,
+    partial: Partial,
+    snapshot: Option<Arc<Partial>>,
     depth: u32,
     spec: QuerySpec,
-    /// Last partial each contact is known to hold (either because it
-    /// sent it to us, or because we sent ours to it), as a vec sorted by
-    /// `HostId` — no hashing on the flush path, and the "we sent ours"
-    /// entries share the partial's allocation instead of deep-cloning it
-    /// per neighbour. Keyed by host rather than by neighbour-slot index
-    /// because under an overlay ([`pov_sim::OverlayDriver`]) the
-    /// neighbour set can grow and reorder mid-run; entries for contacts
-    /// that are no longer neighbours simply stop being consulted.
-    knowledge: Vec<(HostId, Rc<Partial>)>,
+    knowledge: Knowledge,
     flush_scheduled: bool,
 }
 
 impl Active {
-    /// Whether neighbour `n` is known to already hold exactly the
-    /// current partial (Example 5.1's skip rule). Pointer equality
-    /// catches the overwhelmingly common case — the entry aliases the
-    /// partial we last sent — before falling back to deep comparison.
-    fn synced(&self, n: HostId) -> bool {
-        self.knowledge
-            .binary_search_by_key(&n, |e| e.0)
-            .is_ok_and(|i| {
-                let k = &self.knowledge[i].1;
-                Rc::ptr_eq(k, &self.partial) || **k == *self.partial
-            })
+    /// The current partial as a shared snapshot.
+    fn snapshot(&mut self) -> Arc<Partial> {
+        let partial = &self.partial;
+        Arc::clone(
+            self.snapshot
+                .get_or_insert_with(|| Arc::new(partial.clone())),
+        )
     }
 
-    /// Join `incoming` into what neighbour `n` is known to hold
-    /// (copy-on-write: don't overwrite — reliable links mean the sender
-    /// still holds everything we sent it earlier).
-    fn absorb(&mut self, n: HostId, incoming: &Rc<Partial>) {
-        match self.knowledge.binary_search_by_key(&n, |e| e.0) {
-            Ok(i) => Rc::make_mut(&mut self.knowledge[i].1).combine(incoming),
-            Err(i) => self.knowledge.insert(i, (n, Rc::clone(incoming))),
+    /// Fig 4's combine step: fold `incoming` from `from` into `A_h` and
+    /// into what `from` is known to hold.
+    fn combine(&mut self, from: HostId, incoming: &Arc<Partial>) {
+        if self.partial.combine_check(incoming) {
+            self.snapshot = None;
+        }
+        self.knowledge.absorb(from, incoming);
+    }
+
+    /// Whether neighbour `n` is known to already hold exactly the
+    /// current partial (Example 5.1's skip rule).
+    fn synced(&self, n: HostId) -> bool {
+        self.knowledge
+            .holds(n, &self.partial, self.snapshot.as_ref())
+    }
+}
+
+/// What each contact is known to hold, as a vec sorted by `HostId`: no
+/// hashing on the flush path. Keyed by host rather than by
+/// neighbour-slot index because under an overlay
+/// ([`pov_sim::OverlayDriver`]) the neighbour set can grow and reorder
+/// mid-run; entries for contacts that are no longer neighbours simply
+/// stop being consulted.
+#[derive(Debug, Default)]
+struct Knowledge(Vec<(HostId, Held)>);
+
+/// One contact's known partial, `sent ⊔ heard`, kept as two shared
+/// snapshots rather than a sketch of its own. At least one is present.
+#[derive(Debug)]
+struct Held {
+    /// The snapshot we last sent the contact.
+    sent: Option<Arc<Partial>>,
+    /// The largest partial heard from the contact since then. A host's
+    /// partial only grows, so the partials it sends form a chain and the
+    /// larger of two is their join; an incomparable pair (the contact
+    /// restarted its query) is joined into a new allocation.
+    heard: Option<Arc<Partial>>,
+}
+
+impl Knowledge {
+    fn find(&self, n: HostId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&n, |e| e.0)
+    }
+
+    /// Whether contact `n` is known to hold exactly `partial`, i.e.
+    /// `partial == sent ⊔ heard`. `snapshot`, when present, is a shared
+    /// copy of `partial`; an entry pointing at it needs no comparison.
+    fn holds(&self, n: HostId, partial: &Partial, snapshot: Option<&Arc<Partial>>) -> bool {
+        let Ok(i) = self.find(n) else {
+            return false;
+        };
+        let current = |p: &Arc<Partial>| snapshot.is_some_and(|s| Arc::ptr_eq(s, p));
+        match &self.0[i].1 {
+            Held {
+                sent: Some(s),
+                heard: None,
+            } => current(s) || **s == *partial,
+            Held {
+                sent: None,
+                heard: Some(h),
+            } => **h == *partial,
+            // `sent` is `partial` itself: the join is `partial` exactly
+            // when `partial` already covers `heard`.
+            Held {
+                sent: Some(s),
+                heard: Some(h),
+            } if current(s) => partial.covers(h),
+            Held {
+                sent: Some(s),
+                heard: Some(h),
+            } => partial.is_join_of(s, h),
+            Held {
+                sent: None,
+                heard: None,
+            } => unreachable!("an entry starts from a send or a receipt"),
         }
     }
 
-    /// Note that neighbour `n` now holds exactly the current partial
-    /// (we just sent it to them).
-    fn record(&mut self, n: HostId) {
-        let p = Rc::clone(&self.partial);
-        match self.knowledge.binary_search_by_key(&n, |e| e.0) {
-            Ok(i) => self.knowledge[i].1 = p,
-            Err(i) => self.knowledge.insert(i, (n, p)),
+    /// Contact `n` now holds exactly `snapshot` (we just sent it).
+    fn record(&mut self, n: HostId, snapshot: &Arc<Partial>) {
+        let held = Held {
+            sent: Some(Arc::clone(snapshot)),
+            heard: None,
+        };
+        match self.find(n) {
+            Ok(i) => self.0[i].1 = held,
+            Err(i) => self.0.insert(i, (n, held)),
+        }
+    }
+
+    /// Contact `n` sent us `incoming`. Join, don't overwrite: reliable
+    /// links mean it still holds everything we sent it earlier, even if
+    /// this message was in flight before ours arrived.
+    fn absorb(&mut self, n: HostId, incoming: &Arc<Partial>) {
+        let i = match self.find(n) {
+            Ok(i) => i,
+            Err(i) => {
+                let held = Held {
+                    sent: None,
+                    heard: Some(Arc::clone(incoming)),
+                };
+                self.0.insert(i, (n, held));
+                return;
+            }
+        };
+        let heard = &mut self.0[i].1.heard;
+        match heard {
+            None => *heard = Some(Arc::clone(incoming)),
+            Some(h) if Arc::ptr_eq(h, incoming) => {}
+            Some(h) if incoming.covers(h) => *h = Arc::clone(incoming),
+            Some(h) if h.covers(incoming) => {}
+            Some(h) => {
+                let mut joined = Partial::clone(h);
+                joined.combine(incoming);
+                *h = Arc::new(joined);
+            }
         }
     }
 }
@@ -199,7 +301,7 @@ impl WildfireNode {
 
     /// Current partial aggregate (diagnostics/tests).
     pub fn partial(&self) -> Option<&Partial> {
-        self.active.as_ref().map(|a| a.partial.as_ref())
+        self.active.as_ref().map(|a| &a.partial)
     }
 
     /// Hop depth at which this host was activated.
@@ -222,10 +324,11 @@ impl WildfireNode {
             .operator
             .init(spec.aggregate, self.value, spec.c, ctx.rng());
         self.active = Some(Active {
-            partial: Rc::new(partial),
+            partial,
+            snapshot: None,
             depth,
             spec,
-            knowledge: Vec::new(),
+            knowledge: Knowledge(Vec::with_capacity(ctx.neighbors().len())),
             flush_scheduled: false,
         });
         self.query = Some(spec);
@@ -233,7 +336,7 @@ impl WildfireNode {
 
     /// Fig 4's receive-a-partial step (batched: combine now, send at the
     /// end of the tick).
-    fn receive_partial(&mut self, ctx: &mut Ctx<'_, WfMsg>, from: HostId, incoming: Rc<Partial>) {
+    fn receive_partial(&mut self, ctx: &mut Ctx<'_, WfMsg>, from: HostId, incoming: Arc<Partial>) {
         let Some(active) = self.active.as_mut() else {
             return;
         };
@@ -245,11 +348,7 @@ impl WildfireNode {
         if ctx.now().ticks() > deadline {
             return; // Fig 4: "else Terminate"
         }
-        Rc::make_mut(&mut active.partial).combine_check(&incoming);
-        // Join, don't overwrite: the sender still holds everything we
-        // sent it earlier (reliable links), even if this message was in
-        // flight before ours arrived.
-        active.absorb(from, &incoming);
+        active.combine(from, &incoming);
         if !active.flush_scheduled {
             active.flush_scheduled = true;
             ctx.set_timer_at_tick_end(TIMER_FLUSH);
@@ -278,24 +377,21 @@ impl WildfireNode {
                 return;
             }
             // One transmission reaches everyone; all neighbours now know.
+            let snapshot = active.snapshot();
             ctx.broadcast(WfMsg::Converge {
-                partial: Rc::clone(&active.partial),
+                partial: Arc::clone(&snapshot),
             });
             for &n in neighbors {
-                active.record(n);
+                active.knowledge.record(n, &snapshot);
             }
         } else {
             for &n in neighbors {
                 if active.synced(n) {
                     continue;
                 }
-                ctx.send(
-                    n,
-                    WfMsg::Converge {
-                        partial: Rc::clone(&active.partial),
-                    },
-                );
-                active.record(n);
+                let snapshot = active.snapshot();
+                active.knowledge.record(n, &snapshot);
+                ctx.send(n, WfMsg::Converge { partial: snapshot });
             }
         }
     }
@@ -322,21 +418,21 @@ impl NodeLogic for WildfireNode {
         self.activate(ctx, spec, 0);
         ctx.set_timer(spec.deadline(), TIMER_DECLARE);
         let active = self.active.as_mut().expect("just activated");
+        let snapshot = active.snapshot();
         let piggyback = self.opts.piggyback;
-        let partial = piggyback.then(|| Rc::clone(&active.partial));
         ctx.broadcast(WfMsg::Broadcast {
             spec,
             hops: 0,
-            partial,
+            partial: piggyback.then(|| Arc::clone(&snapshot)),
         });
         if !piggyback {
             ctx.broadcast(WfMsg::Converge {
-                partial: Rc::clone(&active.partial),
+                partial: Arc::clone(&snapshot),
             });
         }
         // Everyone we just reached has our current partial.
         for &n in ctx.neighbors() {
-            active.record(n);
+            active.knowledge.record(n, &snapshot);
         }
     }
 
@@ -356,24 +452,22 @@ impl NodeLogic for WildfireNode {
                     self.activate(ctx, spec, depth);
                     // Combine the piggybacked partial *before* forwarding
                     // (Example 5.1: x forwards A_x = 15, already combined).
-                    if let Some(p) = partial {
-                        let active = self.active.as_mut().expect("just activated");
-                        Rc::make_mut(&mut active.partial).combine_check(&p);
-                        active.absorb(from, &p);
-                    }
-                    let piggyback = self.opts.piggyback;
                     let active = self.active.as_mut().expect("just activated");
+                    if let Some(p) = partial {
+                        active.combine(from, &p);
+                    }
+                    let snapshot = self.opts.piggyback.then(|| active.snapshot());
                     let fwd = WfMsg::Broadcast {
                         spec,
                         hops: depth,
-                        partial: piggyback.then(|| Rc::clone(&active.partial)),
+                        partial: snapshot.clone(),
                     };
                     let radio = ctx.medium() == Medium::Radio;
                     ctx.broadcast_except(Some(from), fwd);
-                    if piggyback {
+                    if let Some(snapshot) = &snapshot {
                         for &n in ctx.neighbors() {
                             if n != from || radio {
-                                active.record(n);
+                                active.knowledge.record(n, snapshot);
                             }
                         }
                     }
@@ -419,7 +513,7 @@ impl NodeLogic for WildfireNode {
 mod tests {
     use super::*;
     use crate::common::Aggregate;
-    use pov_sim::{ChurnPlan, SimBuilder, Simulation};
+    use pov_sim::{ChurnPlan, PartitionPlan, SimBuilder, Simulation};
     use pov_topology::generators::special;
     use pov_topology::Graph;
 
@@ -616,5 +710,189 @@ mod tests {
         );
         assert!(sim.logic(HostId(1)).result().is_none());
         assert!(sim.logic(HostId(2)).result().is_none());
+    }
+
+    #[test]
+    fn count_under_churn_cut_and_rejoins_is_pinned() {
+        // WILDFIRE COUNT on 120 random hosts with departures, a healing
+        // cut, ordinary rejoins and a rejoin of `hq` itself (which
+        // restarts its partial, so neighbours later hear a partial
+        // incomparable with the one they hold). The message count and
+        // the declared value's bits are pinned: a change to the
+        // convergecast's skip rule that alters any send shows up here.
+        let n = 120;
+        let g = pov_topology::generators::random_average_degree(n, 4.0, 5);
+        let spec = QuerySpec {
+            aggregate: Aggregate::Count,
+            d_hat: 8,
+            c: 16,
+        };
+        let churn = ChurnPlan::uniform_failures(n, 15, Time(1), Time(12), HostId(0), 7)
+            .with_failure(Time(2), HostId(0))
+            .with_join(Time(4), HostId(0))
+            .with_failure(Time(3), HostId(7))
+            .with_join(Time(6), HostId(7))
+            .with_failure(Time(5), HostId(11))
+            .with_join(Time(9), HostId(11));
+        let cut = PartitionPlan::split_bfs(&g, HostId(60), 0.3).window(Time(3), Time(9));
+        let mut sim = SimBuilder::new(g)
+            .churn(churn)
+            .partition(cut)
+            .seed(21)
+            .build(move |h| {
+                if h == HostId(0) {
+                    WildfireNode::query_host(1, spec, WildfireOpts::default())
+                } else {
+                    WildfireNode::host(1, WildfireOpts::default())
+                }
+            });
+        sim.run_until(Time(3 * spec.deadline()));
+        let (v, at) = sim.logic(HostId(0)).result().expect("declared");
+        assert_eq!(sim.metrics().messages_sent, 2959);
+        assert_eq!(v.to_bits(), 0x4058_64dc_aa9b_a284);
+        assert_eq!(at, Time(20)); // hq's restart at t = 4 reset its deadline
+    }
+
+    /// The knowledge cache against a reference model that stores each
+    /// contact's known partial by value and combines into it: the skip
+    /// decision must agree after every step.
+    mod knowledge_model {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        use std::sync::Arc;
+
+        const CONTACTS: u32 = 3;
+
+        /// A fresh single-host partial of operator family `family`, kept
+        /// tiny (c = 2, k = 2) so equal, comparable and incomparable
+        /// partials all come up often.
+        fn fresh(family: u8, seed: u64) -> Partial {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            match family {
+                0 => Operator::Standard.init(Aggregate::Count, 1, 2, &mut rng),
+                1 => Operator::Standard.init(Aggregate::Average, seed % 4, 1, &mut rng),
+                2 => Operator::Standard.init(Aggregate::Max, seed % 8, 2, &mut rng),
+                _ => Operator::KmvCount { k: 2 }.init(Aggregate::Count, 1, 2, &mut rng),
+            }
+        }
+
+        #[derive(Default)]
+        struct Reference(Vec<(HostId, Partial)>);
+
+        impl Reference {
+            fn record(&mut self, n: HostId, partial: &Partial) {
+                self.0.retain(|e| e.0 != n);
+                self.0.push((n, partial.clone()));
+            }
+            fn absorb(&mut self, n: HostId, incoming: &Partial) {
+                match self.0.iter_mut().find(|e| e.0 == n) {
+                    Some(e) => e.1.combine(incoming),
+                    None => self.0.push((n, incoming.clone())),
+                }
+            }
+            fn holds(&self, n: HostId, partial: &Partial) -> bool {
+                self.0.iter().any(|e| e.0 == n && e.1 == *partial)
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            #[test]
+            fn skip_decision_matches_full_partial_model(
+                family in 0u8..4,
+                ops in prop::collection::vec((0u8..7, 0u32..CONTACTS, 0u64..1_000), 1..80),
+            ) {
+                let mut partial = fresh(family, 7_777);
+                let mut snapshot: Option<Arc<Partial>> = None;
+                let mut knowledge = Knowledge::default();
+                let mut reference = Reference::default();
+                // Each contact's own partial, and the snapshot it last sent.
+                let mut theirs: Vec<Partial> =
+                    (0..CONTACTS).map(|n| fresh(family, u64::from(n))).collect();
+                let mut their_last: Vec<Option<Arc<Partial>>> = vec![None; CONTACTS as usize];
+                for (op, n, seed) in ops {
+                    let c = n as usize;
+                    let host = HostId(n);
+                    match op {
+                        // The contact's partial grows.
+                        0 => theirs[c].combine(&fresh(family, seed)),
+                        // The contact restarts: its next partial need not
+                        // be comparable with what it sent before.
+                        1 => {
+                            theirs[c] = fresh(family, seed);
+                            their_last[c] = None;
+                        }
+                        // A receipt (Fig 4): combine into A_h and absorb.
+                        2 | 3 => {
+                            let incoming = match &their_last[c] {
+                                Some(last) if **last == theirs[c] => Arc::clone(last),
+                                _ => Arc::new(theirs[c].clone()),
+                            };
+                            their_last[c] = Some(Arc::clone(&incoming));
+                            if op == 2 && partial.combine_check(&incoming) {
+                                snapshot = None;
+                            }
+                            knowledge.absorb(host, &incoming);
+                            reference.absorb(host, &incoming);
+                        }
+                        // A send of the current partial.
+                        4 | 5 => {
+                            let partial = &partial;
+                            let snap = Arc::clone(
+                                snapshot.get_or_insert_with(|| Arc::new(partial.clone())),
+                            );
+                            knowledge.record(host, &snap);
+                            reference.record(host, partial);
+                        }
+                        // A_h grows by something no contact sent.
+                        _ => {
+                            if partial.combine_check(&fresh(family, seed)) {
+                                snapshot = None;
+                            }
+                        }
+                    }
+                    for m in 0..CONTACTS {
+                        prop_assert_eq!(
+                            knowledge.holds(HostId(m), &partial, snapshot.as_ref()),
+                            reference.holds(HostId(m), &partial),
+                            "contact {} after op {}", m, op
+                        );
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn incomparable_receipts_fall_back_to_an_exact_join() {
+            let (a, b) = (fresh(0, 1), fresh(0, 2));
+            assert!(
+                !a.covers(&b) && !b.covers(&a),
+                "seeds give an incomparable pair"
+            );
+            let mut joined = a.clone();
+            joined.combine(&b);
+            let mut knowledge = Knowledge::default();
+            knowledge.absorb(HostId(1), &Arc::new(a.clone()));
+            knowledge.absorb(HostId(1), &Arc::new(b.clone()));
+            let heard = knowledge.0[0].1.heard.as_deref();
+            assert_eq!(heard, Some(&joined));
+            assert!(knowledge.holds(HostId(1), &joined, None));
+            assert!(!knowledge.holds(HostId(1), &a, None));
+        }
+
+        #[test]
+        fn an_entry_pointing_at_the_current_snapshot_needs_no_comparison() {
+            let partial = fresh(0, 3);
+            let snapshot = Arc::new(partial.clone());
+            let mut knowledge = Knowledge::default();
+            knowledge.record(HostId(2), &snapshot);
+            assert!(knowledge.holds(HostId(2), &partial, Some(&snapshot)));
+            // A smaller partial heard since leaves the join unchanged.
+            knowledge.absorb(HostId(2), &Arc::new(fresh(0, 3)));
+            assert!(knowledge.holds(HostId(2), &partial, Some(&snapshot)));
+            assert!(!knowledge.holds(HostId(0), &partial, Some(&snapshot)));
+        }
     }
 }

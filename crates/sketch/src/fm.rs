@@ -98,11 +98,7 @@ impl FmSketch {
     /// Panics if the register counts differ (mixing sketches from
     /// different queries is a protocol bug).
     pub fn merge(&mut self, other: &FmSketch) {
-        assert_eq!(
-            self.registers.len(),
-            other.registers.len(),
-            "cannot merge sketches with different repetition counts"
-        );
+        self.assert_same_c(other);
         for (a, b) in self.registers.iter_mut().zip(&other.registers) {
             *a |= b;
         }
@@ -118,11 +114,7 @@ impl FmSketch {
     /// its partial aggregate only when it changed (Fig 4), so this runs
     /// on every message receipt — hence no clone-and-compare.
     pub fn merge_check(&mut self, other: &FmSketch) -> bool {
-        assert_eq!(
-            self.registers.len(),
-            other.registers.len(),
-            "cannot merge sketches with different repetition counts"
-        );
+        self.assert_same_c(other);
         let mut changed = false;
         for (a, b) in self.registers.iter_mut().zip(&other.registers) {
             let merged = *a | b;
@@ -130,6 +122,38 @@ impl FmSketch {
             *a = merged;
         }
         changed
+    }
+
+    /// Whether `self` already holds every bit of `other` — the lattice
+    /// order `other ⊑ self`, i.e. `self.clone().merged(other) == *self`
+    /// without the clone. Panics if the register counts differ.
+    pub fn covers(&self, other: &FmSketch) -> bool {
+        self.assert_same_c(other);
+        self.registers
+            .iter()
+            .zip(&other.registers)
+            .all(|(a, b)| b & !a == 0)
+    }
+
+    /// Whether `self` is exactly the join `a ⊔ b`, i.e.
+    /// `a.clone().merged(b) == *self` without the clone. Panics if the
+    /// register counts differ.
+    pub fn is_join_of(&self, a: &FmSketch, b: &FmSketch) -> bool {
+        self.assert_same_c(a);
+        self.assert_same_c(b);
+        self.registers
+            .iter()
+            .zip(&a.registers)
+            .zip(&b.registers)
+            .all(|((s, a), b)| *s == a | b)
+    }
+
+    fn assert_same_c(&self, other: &FmSketch) {
+        assert_eq!(
+            self.registers.len(),
+            other.registers.len(),
+            "cannot combine sketches with different repetition counts"
+        );
     }
 
     /// Per-register `z_i`: index of the lowest-order bit still 0.

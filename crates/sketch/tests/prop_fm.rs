@@ -122,3 +122,43 @@ proptest! {
         prop_assert_eq!(FmSketch::new(c).wire_bytes(), c * 8);
     }
 }
+
+proptest! {
+    #[test]
+    fn covers_matches_clone_merge_compare(
+        c in 1usize..10,
+        ns in prop::array::uniform3(0u64..120),
+        seeds in prop::array::uniform3(0u64..1_000),
+    ) {
+        let a = sketch(c, ns[0], seeds[0]);
+        let b = sketch(c, ns[1], seeds[1]);
+        let ab = a.clone().merged(&b);
+        let d = sketch(c, ns[2], seeds[2]);
+        // Random pairs are mostly incomparable; joins and their inputs
+        // give the comparable cases.
+        for (x, y) in [(&a, &b), (&b, &a), (&ab, &a), (&ab, &b), (&a, &ab), (&d, &ab), (&a, &a)] {
+            prop_assert_eq!(x.covers(y), x.clone().merged(y) == *x);
+        }
+        prop_assert!(ab.covers(&a) && ab.covers(&b));
+        prop_assert!(a.covers(&FmSketch::new(c)));
+    }
+
+    #[test]
+    fn is_join_of_matches_clone_merge_compare(
+        c in 1usize..10,
+        ns in prop::array::uniform3(0u64..120),
+        seeds in prop::array::uniform3(0u64..1_000),
+    ) {
+        let a = sketch(c, ns[0], seeds[0]);
+        let b = sketch(c, ns[1], seeds[1]);
+        let ab = a.clone().merged(&b);
+        let d = sketch(c, ns[2], seeds[2]);
+        for s in [&ab, &a, &b, &d, &ab.clone().merged(&d)] {
+            for (x, y) in [(&a, &b), (&b, &a), (&a, &ab), (&d, &a), (&ab, &d)] {
+                prop_assert_eq!(s.is_join_of(x, y), x.clone().merged(y) == *s);
+            }
+        }
+        prop_assert!(ab.is_join_of(&a, &b));
+        prop_assert!(a.is_join_of(&a, &a));
+    }
+}
