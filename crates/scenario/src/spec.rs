@@ -821,63 +821,42 @@ impl Scenario {
             Some(_) => {
                 let ov = Keys::over(doc, "overlay")?;
                 let defaults = OverlayConfig::default();
-                let active_degree = ov
-                    .opt_usize("active_degree")?
-                    .unwrap_or(defaults.active_degree);
-                if active_degree == 0 {
-                    return Err(ov.err("active_degree", "active view needs >= 1 slot"));
-                }
-                let passive_degree = ov
-                    .opt_usize("passive_degree")?
-                    .unwrap_or(defaults.passive_degree);
-                let shuffle_every = ov
-                    .opt_u64("shuffle_every")?
-                    .unwrap_or(defaults.shuffle_every);
-                if shuffle_every == 0 {
-                    return Err(ov.err("shuffle_every", "shuffle cadence must be >= 1 tick"));
-                }
-                let probe_every = ov.opt_u64("probe_every")?.unwrap_or(defaults.probe_every);
-                if probe_every == 0 {
-                    return Err(ov.err("probe_every", "probe cadence must be >= 1 tick"));
-                }
-                let probe_timeout = ov
-                    .opt_u64("probe_timeout")?
-                    .unwrap_or(defaults.probe_timeout);
-                if probe_timeout == 0 {
-                    return Err(ov.err("probe_timeout", "probe timeout must be >= 1 tick"));
-                }
-                let indirect_probes = ov
-                    .opt_usize("indirect_probes")?
-                    .unwrap_or(defaults.indirect_probes);
-                let suspicion_timeout = ov
-                    .opt_u64("suspicion_timeout")?
-                    .unwrap_or(defaults.suspicion_timeout);
-                if suspicion_timeout == 0 {
-                    return Err(ov.err("suspicion_timeout", "suspicion timeout must be >= 1 tick"));
-                }
-                let false_positive = ov
-                    .opt_f64("false_positive")?
-                    .unwrap_or(defaults.false_positive);
-                if !(0.0..=1.0).contains(&false_positive) {
-                    return Err(ov.err(
-                        "false_positive",
-                        format!("false_positive {false_positive} outside [0, 1]"),
-                    ));
+                let config = OverlayConfig {
+                    active_degree: ov
+                        .opt_usize("active_degree")?
+                        .unwrap_or(defaults.active_degree),
+                    passive_degree: ov
+                        .opt_usize("passive_degree")?
+                        .unwrap_or(defaults.passive_degree),
+                    shuffle_every: ov
+                        .opt_u64("shuffle_every")?
+                        .unwrap_or(defaults.shuffle_every),
+                    probe_every: ov.opt_u64("probe_every")?.unwrap_or(defaults.probe_every),
+                    probe_timeout: ov
+                        .opt_u64("probe_timeout")?
+                        .unwrap_or(defaults.probe_timeout),
+                    indirect_probes: ov
+                        .opt_usize("indirect_probes")?
+                        .unwrap_or(defaults.indirect_probes),
+                    suspicion_timeout: ov
+                        .opt_u64("suspicion_timeout")?
+                        .unwrap_or(defaults.suspicion_timeout),
+                    false_positive: ov
+                        .opt_f64("false_positive")?
+                        .unwrap_or(defaults.false_positive),
+                    seed: 0,
+                };
+                if let Err((key, msg)) = config.validate() {
+                    return Err(match key {
+                        // The rate's message names the offending value.
+                        "false_positive" => {
+                            ov.err(key, format!("{key} {} {msg}", config.false_positive))
+                        }
+                        _ => ov.err(key, msg),
+                    });
                 }
                 ov.finish()?;
-                Some(OverlaySpec {
-                    config: OverlayConfig {
-                        active_degree,
-                        passive_degree,
-                        shuffle_every,
-                        probe_every,
-                        probe_timeout,
-                        indirect_probes,
-                        suspicion_timeout,
-                        false_positive,
-                        seed: 0,
-                    },
-                })
+                Some(OverlaySpec { config })
             }
         };
 
@@ -1761,7 +1740,20 @@ seeds = [1]
         assert!(err.msg.contains(">= 1 tick"), "{}", err.msg);
         let err = Scenario::from_str(&format!("{GOOD}\n[overlay]\nfalse_positive = 1.5"))
             .expect_err("bad rate");
-        assert!(err.msg.contains("outside [0, 1]"), "{}", err.msg);
+        assert_eq!(
+            err.msg,
+            "[overlay] false_positive: false_positive 1.5 outside [0, 1]"
+        );
+        // Every check the driver applies surfaces under its own key.
+        for (key, msg) in [
+            ("shuffle_every", "shuffle cadence must be >= 1 tick"),
+            ("probe_timeout", "probe timeout must be >= 1 tick"),
+            ("suspicion_timeout", "suspicion timeout must be >= 1 tick"),
+        ] {
+            let err = Scenario::from_str(&format!("{GOOD}\n[overlay]\n{key} = 0"))
+                .expect_err("zero cadence");
+            assert_eq!(err.msg, format!("[overlay] {key}: {msg}"));
+        }
         // There is no `seed` key: seeds come from [run], per cell.
         let err =
             Scenario::from_str(&format!("{GOOD}\n[overlay]\nseed = 7")).expect_err("seed key");
