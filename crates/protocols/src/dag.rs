@@ -83,11 +83,11 @@ impl DagNode {
         DagNode {
             value,
             k,
-            parents: crate::pool::take_hosts(),
+            parents: Vec::new(),
             depth: 0,
             activated: false,
             reported: false,
-            heard: crate::pool::take_host_set(),
+            heard: HashSet::new(),
             partial: None,
             query: None,
             result: None,
@@ -113,13 +113,6 @@ impl DagNode {
     /// Parents adopted so far (diagnostics).
     pub fn parents(&self) -> &[HostId] {
         &self.parents
-    }
-}
-
-impl Drop for DagNode {
-    fn drop(&mut self) {
-        crate::pool::put_hosts(std::mem::take(&mut self.parents));
-        crate::pool::put_host_set(std::mem::take(&mut self.heard));
     }
 }
 

@@ -31,11 +31,11 @@
 
 use crate::common::Aggregate;
 use crate::observer::ProtocolObserver;
-use crate::pool;
 use pov_sim::{
     ChurnPlan, Ctx, Metrics, NodeLogic, PartitionPlan, SimBuilder, StateSummary, Time, Trace,
 };
 use pov_topology::{Graph, HostId};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 
 /// Compact identity of one query within a workload. Wire payloads carry
@@ -166,6 +166,39 @@ pub enum MuxItem {
 pub struct MuxMsg {
     /// The piggybacked `(query, item)` pairs.
     pub items: Vec<(QueryId, MuxItem)>,
+}
+
+/// Most emptied wire vectors kept for reuse per thread.
+const SPARE_ITEMS_KEEP: usize = 4096;
+
+thread_local! {
+    /// Emptied wire vectors: a sender takes one, the receiver drains it
+    /// and hands it back, so steady-state message traffic within one
+    /// [`run_mux`] allocates nothing.
+    static SPARE_ITEMS: RefCell<Vec<Vec<(QueryId, MuxItem)>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// An empty wire vector, recycled if one is spare.
+fn take_items() -> Vec<(QueryId, MuxItem)> {
+    let mut v = SPARE_ITEMS
+        .with(|p| p.borrow_mut().pop())
+        .unwrap_or_default();
+    v.clear();
+    v
+}
+
+/// Hand a drained wire vector back for reuse. Vectors that never
+/// allocated are dropped: keeping them would save nothing.
+fn put_items(v: Vec<(QueryId, MuxItem)>) {
+    if v.capacity() == 0 {
+        return;
+    }
+    SPARE_ITEMS.with(|p| {
+        let mut spare = p.borrow_mut();
+        if spare.len() < SPARE_ITEMS_KEEP {
+            spare.push(v);
+        }
+    });
 }
 
 /// Timer key: tick-end flush of the buffered inbox.
@@ -598,7 +631,7 @@ impl MuxNode {
             for &(qid, _) in buf.iter() {
                 self.payload_sent[qid.index() as usize] += 1;
             }
-            let mut items = pool::take_mux_items();
+            let mut items = take_items();
             items.append(buf);
             let nb = ctx.neighbors()[i];
             ctx.send(nb, MuxMsg { items });
@@ -644,10 +677,8 @@ impl NodeLogic for MuxNode {
         let now = ctx.now().ticks();
         self.staging
             .extend(msg.items.drain(..).map(|(qid, item)| (qid, from, item)));
-        // The emptied wire vector goes back to the thread-local pool the
-        // sender took it from — steady-state message traffic allocates
-        // nothing.
-        pool::put_mux_items(msg.items);
+        // The emptied wire vector goes back for the next send.
+        put_items(msg.items);
         // All logic runs at the tick-end flush, after every delivery of
         // this instant — the synchronous round.
         if self.flush_armed_at != Some(now) {
@@ -848,6 +879,44 @@ mod tests {
             d_hat,
             window: None,
         }
+    }
+
+    fn spare_len() -> usize {
+        SPARE_ITEMS.with(|p| p.borrow().len())
+    }
+
+    fn query_item() -> (QueryId, MuxItem) {
+        let item = MuxItem::Query {
+            aggregate: Aggregate::Count,
+            hops: 0,
+            deadline: 1,
+        };
+        (QueryId(0), item)
+    }
+
+    #[test]
+    fn recycled_items_come_back_cleared() {
+        let mut v = take_items();
+        v.push(query_item());
+        put_items(v);
+        let v = take_items();
+        assert!(v.is_empty(), "a recycled vector must come back cleared");
+        assert!(v.capacity() > 0, "a recycled vector must keep its buffer");
+    }
+
+    #[test]
+    fn unallocated_items_are_not_kept() {
+        let before = spare_len();
+        put_items(Vec::new());
+        assert_eq!(spare_len(), before);
+    }
+
+    #[test]
+    fn spare_items_retention_is_bounded() {
+        for _ in 0..(SPARE_ITEMS_KEEP + 100) {
+            put_items(vec![query_item()]);
+        }
+        assert!(spare_len() <= SPARE_ITEMS_KEEP);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl SpanningTreeNode {
             depth: 0,
             activated: false,
             reported: false,
-            heard: crate::pool::take_host_set(),
+            heard: HashSet::new(),
             partial: None,
             query: None,
             result: None,
@@ -92,12 +92,6 @@ impl SpanningTreeNode {
     /// This host's parent in the tree (diagnostics).
     pub fn parent(&self) -> Option<HostId> {
         self.parent
-    }
-}
-
-impl Drop for SpanningTreeNode {
-    fn drop(&mut self) {
-        crate::pool::put_host_set(std::mem::take(&mut self.heard));
     }
 }
 

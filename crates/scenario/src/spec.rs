@@ -436,8 +436,23 @@ impl Scenario {
             }
         };
         let n = topo.require_usize("n")?;
-        if n < 2 {
-            return Err(topo.err("n", "need at least 2 hosts"));
+        // Grids round n down to a perfect square, so validate against the
+        // host count the topology will actually produce.
+        let effective_n = match topology {
+            TopologyKind::Grid => {
+                let side = (n as f64).sqrt().floor() as usize;
+                side * side
+            }
+            _ => n,
+        };
+        if effective_n < 2 {
+            return Err(topo.err(
+                "n",
+                format!(
+                    "need at least 2 hosts ({} builds {effective_n} hosts from n = {n})",
+                    topology.name()
+                ),
+            ));
         }
         let topology_seed = topo.opt_u64("seed")?.unwrap_or(1);
         topo.finish()?;
@@ -464,15 +479,6 @@ impl Scenario {
             Some(v) => u32::try_from(v)
                 .map_err(|_| query.err("hq", format!("host id {v} exceeds u32::MAX")))?,
             None => 0,
-        };
-        // Grids round n down to a perfect square, so validate against the
-        // host count the topology will actually produce.
-        let effective_n = match topology {
-            TopologyKind::Grid => {
-                let side = (n as f64).sqrt().floor() as usize;
-                side * side
-            }
-            _ => n,
         };
         if (hq as usize) >= effective_n {
             return Err(query.err(
@@ -1902,6 +1908,12 @@ seeds = [1]
             .replace("n = 400", "n = 1_000")
             .replace("hq = 0", "hq = 960");
         assert!(Scenario::from_str(&text).is_ok());
+        // n = 3 passes a raw `n >= 2` check but builds a 1×1 grid.
+        let text = GOOD.replace("n = 400", "n = 3");
+        let err = Scenario::from_str(&text).expect_err("grid of one host");
+        assert!(err.msg.contains("at least 2 hosts"), "{}", err.msg);
+        assert!(err.msg.contains("builds 1 hosts from n = 3"), "{}", err.msg);
+        assert_eq!(err.line, 8, "{err:?}");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The simulation engine: deterministic event loop over a dynamic network.
 
 use crate::alive::AliveSet;
-use crate::arena;
 use crate::churn::ChurnPlan;
 use crate::ctx::{CostSink, Ctx, EventSink};
 use crate::delay::{DelayModel, PartitionPlan};
@@ -157,17 +156,9 @@ impl<'g> SimBuilder<'g> {
     /// Instantiate per-host logic with `factory` and produce a runnable
     /// [`Simulation`]. `on_start` has not run yet — call
     /// [`Simulation::start`] (or one of the `run_*` helpers).
-    ///
-    /// All host-indexed engine buffers come from the crate's
-    /// thread-local arena pool and return to it when the simulation
-    /// drops, so a batch worker reuses one engine arena across every
-    /// cell it runs.
     pub fn build<L: NodeLogic>(self, mut factory: impl FnMut(HostId) -> L) -> Simulation<'g, L> {
         let n = self.graph.num_hosts();
-        let mut alive = arena::take_bools(n);
-        for flag in alive.iter_mut() {
-            *flag = true;
-        }
+        let mut alive = vec![true; n];
         for h in self.churn.initially_dead() {
             alive[h.index()] = false;
         }
@@ -211,21 +202,20 @@ impl<'g> SimBuilder<'g> {
         // host's logic never activates, so its seeded (or fail-time
         // captured) summary stays exact.
         let track_summaries = self.dynamic.is_some() || overlay.is_some();
-        let mut summaries = arena::take_summaries(n);
+        let mut summaries = vec![StateSummary::default(); n];
         if track_summaries {
             for (slot, l) in summaries.iter_mut().zip(&logic) {
                 *slot = l.as_ref().expect("logic present").summary();
             }
         }
-        let mut initially_alive = arena::take_bools(n);
-        initially_alive.copy_from_slice(&alive);
+        let initially_alive = alive.clone();
         let tele = self.tele.map(|sink| {
-            sink.on_run_start(n, arena::pooled_buffers());
+            sink.on_run_start(n);
             Telemetry {
                 next_summary: sink.summary_every().map(|_| 0),
                 sink,
                 alive: alive_set.count() as u32,
-                touched: arena::take_u32s(n),
+                touched: vec![0; n],
                 counts: TickCounts::default(),
                 flushed_through: 0,
             }
@@ -238,10 +228,10 @@ impl<'g> SimBuilder<'g> {
                 logic,
                 alive,
                 alive_set,
-                last_depth: arena::take_u32s(n),
+                last_depth: vec![0; n],
             },
             queue,
-            metrics: Metrics::from_arena(n),
+            metrics: Metrics::with_hosts(n),
             medium: self.medium,
             delay: self.delay,
             dynamic: self.dynamic,
@@ -253,7 +243,7 @@ impl<'g> SimBuilder<'g> {
             shard_batches: 0,
             track_summaries,
             summaries,
-            churn_buf: arena::take_churn(),
+            churn_buf: Vec::new(),
             now: Time::ZERO,
             started: false,
         }
@@ -414,24 +404,6 @@ pub struct Simulation<'g, L: NodeLogic> {
     churn_buf: Vec<ChurnEvent>,
     now: Time,
     started: bool,
-}
-
-impl<'g, L: NodeLogic> Drop for Simulation<'g, L> {
-    fn drop(&mut self) {
-        // Hand the host-indexed buffers back to the thread-local arena
-        // for the next cell of the batch.
-        arena::put_bools(std::mem::take(&mut self.hosts.alive));
-        self.hosts.alive_set.release();
-        arena::put_u32s(std::mem::take(&mut self.hosts.last_depth));
-        arena::put_bools(std::mem::take(&mut self.trace.initially_alive));
-        arena::put_u32s(std::mem::take(&mut self.metrics.processed_per_host));
-        arena::put_u64s(std::mem::take(&mut self.metrics.sent_per_tick));
-        arena::put_summaries(std::mem::take(&mut self.summaries));
-        arena::put_churn(std::mem::take(&mut self.churn_buf));
-        if let Some(t) = self.tele.as_mut() {
-            arena::put_u32s(std::mem::take(&mut t.touched));
-        }
-    }
 }
 
 impl<'g, L: NodeLogic> Simulation<'g, L> {
@@ -718,7 +690,7 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
 
     /// Poll the dynamic churn source: summarize the *alive* hosts'
     /// protocol state, hand the source an [`EngineView`], apply the events it
-    /// writes into the (pooled, reused) wave buffer — source failures
+    /// writes into the reused wave buffer — source failures
     /// and joins have the same semantics as statically scheduled ones,
     /// including trace recording — and schedule the next poll it asks
     /// for.
@@ -932,16 +904,6 @@ impl<'g, L: NodeLogic> Simulation<'g, L> {
     /// Ground-truth membership trace for the oracle.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Number of pending events (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when no events remain.
-    pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -1784,15 +1746,15 @@ mod tests {
     /// telemetry invariants.
     #[derive(Default)]
     struct Recorder {
-        started: Option<(usize, usize)>,
+        started: Option<usize>,
         ticks: Vec<TickSample>,
         summaries: Vec<(Time, u32, u64)>,
         every: Option<u64>,
     }
 
     impl TelemetrySink for Recorder {
-        fn on_run_start(&mut self, num_hosts: usize, arena_pooled: usize) {
-            self.started = Some((num_hosts, arena_pooled));
+        fn on_run_start(&mut self, num_hosts: usize) {
+            self.started = Some(num_hosts);
         }
         fn on_tick(&mut self, sample: &TickSample) {
             self.ticks.push(*sample);
@@ -1854,7 +1816,7 @@ mod tests {
         let sent = sim.metrics().messages_sent;
         let processed = sim.metrics().total_processed();
         drop(sim);
-        assert_eq!(rec.started, Some((8, 0)));
+        assert_eq!(rec.started, Some(8));
         // Every dispatched event, sent message and processed delivery
         // lands in exactly one tick sample.
         assert_eq!(

@@ -143,10 +143,6 @@ impl<M> EventQueue<M> {
         }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     pub fn len(&self) -> usize {
         match self {
             EventQueue::Bucket(q) => q.len(),
@@ -521,7 +517,7 @@ mod tests {
     #[test]
     fn peek_and_len() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.peek_time(), None);
         q.push(Time(7), Payload::Join(HostId(0)));
         assert_eq!(q.peek_time(), Some(Time(7)));
@@ -552,7 +548,7 @@ mod tests {
         assert!(matches!(p, Payload::Fail(_)));
         assert!(matches!(q.pop(), Some((_, Payload::Timer { .. }))));
         assert_eq!(q.pop().unwrap().0, Time(far + WINDOW));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

@@ -210,12 +210,6 @@ impl GraphBuilder {
         self.adjacency[b.index()].push(a);
     }
 
-    /// Current degree of `h` counting duplicates (an upper bound on the
-    /// final degree).
-    pub fn raw_degree(&self, h: HostId) -> usize {
-        self.adjacency[h.index()].len()
-    }
-
     /// Finalize: sort adjacency lists, drop duplicate edges, and pack
     /// the lists into the CSR arena.
     pub fn build(mut self) -> Graph {

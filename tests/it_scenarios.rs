@@ -60,6 +60,54 @@ fn every_shipped_scenario_parses() {
     );
 }
 
+/// Byte-mutation robustness: every shipped `.scn` file with one byte
+/// deleted or replaced must parse to `Ok` or a line-numbered
+/// `ParseError`, never a panic. Three mutants per byte (a deletion and
+/// two substitutions drawn from the bytes the grammar cares about)
+/// keep the debug-build runtime to a few seconds.
+#[test]
+fn parser_never_panics_on_mutated_library_files() {
+    const SUBSTITUTES: &[u8] = b"=\"[]#\n ,.-019{}_x";
+    let mut mutants = 0usize;
+    for entry in std::fs::read_dir(scenario_dir()).expect("scenarios/ exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("scn") {
+            continue;
+        }
+        let original = std::fs::read(&path).expect("readable");
+        for i in 0..original.len() {
+            let mut deleted = original.clone();
+            deleted.remove(i);
+            let mut variants = vec![deleted];
+            for k in [i, i + 7] {
+                let sub = SUBSTITUTES[k % SUBSTITUTES.len()];
+                if sub != original[i] {
+                    let mut replaced = original.clone();
+                    replaced[i] = sub;
+                    variants.push(replaced);
+                }
+            }
+            for bytes in variants {
+                let text = String::from_utf8_lossy(&bytes);
+                let lines = text.lines().count();
+                let parsed = std::panic::catch_unwind(|| text.parse::<Scenario>());
+                match parsed {
+                    Ok(Ok(_)) => {}
+                    Ok(Err(e)) => assert!(
+                        e.line <= lines + 1,
+                        "{} byte {i}: error line {} past the end ({lines} lines)",
+                        path.display(),
+                        e.line
+                    ),
+                    Err(_) => panic!("{} byte {i}: parser panicked on {text:?}", path.display()),
+                }
+                mutants += 1;
+            }
+        }
+    }
+    assert!(mutants > 10_000, "only {mutants} mutants");
+}
+
 #[test]
 fn smoke_scenario_runs_identically_on_any_thread_count() {
     let scn = load("smoke.scn");
